@@ -71,9 +71,11 @@ class _StubPDS:
 
 
 class _StubUMS:
-    """Alternating usage vectors so every refresh is a digest miss —
-    the instrumented compile/rollup/project path, not the cached-epoch
-    fast path."""
+    """Alternating usage vectors behind the UMS totals-cursor interface.
+
+    Every drain reports a full resync onto the other vector, so every
+    refresh misses the cache — the instrumented compile/rollup/project
+    path, not the cached-epoch fast path."""
 
     def __init__(self, policy, seed=0):
         rng = np.random.default_rng(seed)
@@ -84,9 +86,27 @@ class _StubUMS:
             for _ in range(2)]
         self.calls = 0
 
-    def usage_totals(self):
+    def register_totals_cursor(self):
+        return 1
+
+    def release_totals_cursor(self, cursor):
+        pass
+
+    def drain_totals_changes(self, cursor):
         self.calls += 1
+        return True, {}
+
+    def usage_totals_base(self):
         return self._variants[self.calls % len(self._variants)]
+
+    def usage_scale(self):
+        return 1.0
+
+    def usage_horizons(self):
+        return {}
+
+    def drain_applied_traces(self):
+        return []
 
 
 def _build_fcs(n_users):
@@ -223,6 +243,16 @@ class TestObsOverhead:
         refreshes, observations = _in_mode(False, probe)
         assert refreshes >= 2          # constructor refresh + explicit one
         assert observations == 0       # histogram gated off
+
+    def test_stub_ums_misses_every_round(self):
+        fcs = _build_fcs(200)
+        try:
+            for _ in range(5):
+                fcs.refresh()
+            assert fcs.refresh_stats.hits == 0
+            assert fcs.refresh_stats.misses == 6
+        finally:
+            fcs.stop()
 
     def test_json_artifact_written(self, obs_rows):
         data = json.loads(JSON_PATH.read_text())

@@ -15,6 +15,7 @@ Mirrors the data side of the Aequus pipeline (paper Section II-A):
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -23,7 +24,8 @@ import numpy as np
 from .decay import DecayFunction, NoDecay
 from .tree import Tree, TreeNode
 
-__all__ = ["UsageRecord", "UsageHistogram", "UsageNode", "UsageTree", "build_usage_tree"]
+__all__ = ["UsageRecord", "UsageHistogram", "UsageNode", "UsageTree",
+           "build_usage_tree", "entry_arrays_error"]
 
 
 @dataclass(frozen=True)
@@ -127,8 +129,9 @@ class UsageHistogram:
 
     def add_bin(self, user: str, bin_index: int, charge: float) -> None:
         """Merge a pre-aggregated bin (used when ingesting remote usage)."""
-        if charge < 0:
-            raise ValueError("charge must be non-negative")
+        if not 0.0 <= charge < math.inf:
+            raise ValueError(
+                f"charge must be finite and non-negative: {charge}")
         if charge == 0:
             return
         user_bins = self._bins.setdefault(user, {})
@@ -143,8 +146,9 @@ class UsageHistogram:
         *current bin values* (not increments), so applying an entry twice —
         or applying a later full snapshot over it — is idempotent.
         """
-        if charge < 0:
-            raise ValueError("charge must be non-negative")
+        if not 0.0 <= charge < math.inf:
+            raise ValueError(
+                f"charge must be finite and non-negative: {charge}")
         if charge == 0:
             user_bins = self._bins.get(user)
             if user_bins is None or bin_index not in user_bins:
@@ -162,9 +166,6 @@ class UsageHistogram:
     @property
     def users(self) -> List[str]:
         return sorted(self._bins)
-
-    def has_user(self, user: str) -> bool:
-        return user in self._bins
 
     def user_bins(self, user: str) -> Dict[int, float]:
         return dict(self._bins.get(user, {}))
@@ -329,7 +330,7 @@ class UsageHistogram:
     # -- exchange ----------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Dict[int, float]]:
-        """Compact per-user per-bin totals — the USS↔USS wire payload."""
+        """Per-user per-bin totals as a plain dict-of-dict copy."""
         return {u: dict(b) for u, b in self._bins.items()}
 
     def snapshot_arrays(self) -> Tuple[List[str], List[int], List[int], List[float]]:
@@ -360,8 +361,9 @@ class UsageHistogram:
 
         Entries carry *absolute* bin values (0 deletes).  With ``full=True``
         the arrays describe the sender's complete state: entries not listed
-        are removed first, so the call is equivalent to :meth:`replace` but
-        keeps change cursors informed.
+        are removed first, and change cursors see every removal.  Entries
+        are applied one by one, so callers holding untrusted arrays check
+        them with :func:`entry_arrays_error` first.
         """
         if full:
             listed: Dict[str, Set[int]] = {}
@@ -373,21 +375,6 @@ class UsageHistogram:
                     self.set_bin(user, b, 0.0)
         for ui, b, charge in zip(user_idx, bin_idx, charges):
             self.set_bin(user_table[ui], int(b), float(charge))
-
-    def replace(self, snapshot: Mapping[str, Mapping[int, float]]) -> None:
-        """Overwrite contents with a snapshot (remote-site bookkeeping).
-
-        Registered cursors see every entry of both the old and the new
-        state as dirty — a full replacement gives no finer information.
-        """
-        if self._cursors:
-            for user, bins in self._bins.items():
-                self._mark_all_of(user, bins)
-        self._bins = {u: {int(i): float(c) for i, c in b.items()}
-                      for u, b in snapshot.items()}
-        if self._cursors:
-            for user, bins in self._bins.items():
-                self._mark_all_of(user, bins)
 
     def merge(self, other: "UsageHistogram") -> None:
         """Add another histogram's contents into this one.
@@ -413,6 +400,44 @@ class UsageHistogram:
         for h in histograms:
             out.merge(h)
         return out
+
+
+def entry_arrays_error(user_table: Sequence[str], user_idx: Sequence[int],
+                       bin_idx: Sequence[int],
+                       charges: Sequence[float]) -> Optional[str]:
+    """Why compact-array entries cannot be applied (None: they can).
+
+    Valid entries are parallel arrays of equal length over a table of
+    string user names, with integer indexes ``0 <= user_idx <
+    len(user_table)``, integer bin indexes and finite non-negative
+    charges.  Bin indexes may be negative: a job that started before the
+    clock's origin charges bins before bin 0.  Returns ``"shape"``,
+    ``"index"`` or ``"charge"`` for the first rule broken.  The index and
+    charge rules run as whole-array NumPy passes, so a 100k-user full
+    snapshot stays cheap to check.
+    """
+    try:
+        n = len(charges)
+        if len(user_idx) != n or len(bin_idx) != n \
+                or isinstance(user_table, str) \
+                or not all(type(user) is str for user in user_table):
+            return "shape"
+        if n == 0:
+            return None
+        users = np.asarray(user_idx)
+        bins = np.asarray(bin_idx)
+        amounts = np.asarray(charges)
+    except (TypeError, ValueError):
+        return "shape"
+    if users.ndim != 1 or bins.ndim != 1 or amounts.ndim != 1 \
+            or users.dtype.kind not in "iu" or bins.dtype.kind not in "iu" \
+            or amounts.dtype.kind not in "iuf":
+        return "shape"
+    if users.min() < 0 or users.max() >= len(user_table):
+        return "index"
+    if not np.isfinite(amounts).all() or (amounts < 0).any():
+        return "charge"
+    return None
 
 
 class UsageNode(TreeNode):

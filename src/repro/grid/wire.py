@@ -9,9 +9,9 @@ set of tooling can eyeball both).  The payload is an envelope::
 
 ``src``/``dst`` are transport endpoint names (the USS registers
 ``uss:<site>``); ``type`` selects the dataclass and ``data`` carries its
-fields verbatim — except :class:`UsageExchangeMessage.snapshot`, whose
-integer bin keys JSON forces to strings and :func:`decode_frame` converts
-back.
+fields verbatim.  The JSON is strict: ``NaN`` and ``Infinity`` are
+refused on encode and rejected on decode, so a non-finite charge or
+timestamp never reaches a receiver's histogram through the wire.
 
 The length prefix is validated against ``MAX_FRAME_BYTES`` before the
 payload is read, so a broken or adversarial peer cannot make a daemon
@@ -26,8 +26,7 @@ import json
 import struct
 from typing import Any, Tuple
 
-from ..services.messages import (UsageDeltaMessage, UsageExchangeMessage,
-                                 UsageResyncRequest)
+from ..services.messages import UsageDeltaMessage, UsageResyncRequest
 
 __all__ = ["GRID_WIRE_VERSION", "MAX_FRAME_BYTES", "WireError",
            "encode_frame", "decode_frame"]
@@ -39,7 +38,6 @@ _LEN = struct.Struct(">I")
 #: the only payload classes allowed on the grid wire
 _TYPES = {
     "UsageDeltaMessage": UsageDeltaMessage,
-    "UsageExchangeMessage": UsageExchangeMessage,
     "UsageResyncRequest": UsageResyncRequest,
 }
 
@@ -48,15 +46,24 @@ class WireError(ValueError):
     """A frame that cannot be decoded into a known USS message."""
 
 
+def _reject_constant(token: str) -> Any:
+    """``json.loads`` hook for the non-standard ``NaN``/``Infinity`` tokens."""
+    raise WireError(f"non-finite number {token} in frame")
+
+
 def encode_frame(src: str, dst: str, message: Any) -> bytes:
     """Serialize one USS message into a length-prefixed frame."""
     name = type(message).__name__
     if name not in _TYPES:
         raise WireError(f"{name} is not a grid wire message")
-    payload = json.dumps(
-        {"v": GRID_WIRE_VERSION, "src": src, "dst": dst, "type": name,
-         "data": message.__dict__},
-        separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    try:
+        payload = json.dumps(
+            {"v": GRID_WIRE_VERSION, "src": src, "dst": dst, "type": name,
+             "data": message.__dict__},
+            separators=(",", ":"), ensure_ascii=False,
+            allow_nan=False).encode("utf-8")
+    except ValueError as exc:
+        raise WireError(f"unencodable {name}: {exc}") from exc
     if len(payload) > MAX_FRAME_BYTES:
         raise WireError(f"frame of {len(payload)} bytes exceeds cap")
     return _LEN.pack(len(payload)) + payload
@@ -65,7 +72,8 @@ def encode_frame(src: str, dst: str, message: Any) -> bytes:
 def decode_frame(payload: bytes) -> Tuple[str, str, Any]:
     """Decode one frame payload into ``(src, dst, message)``."""
     try:
-        envelope = json.loads(payload.decode("utf-8"))
+        envelope = json.loads(payload.decode("utf-8"),
+                              parse_constant=_reject_constant)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise WireError(f"undecodable frame: {exc}") from exc
     if not isinstance(envelope, dict):
@@ -77,13 +85,6 @@ def decode_frame(payload: bytes) -> Tuple[str, str, Any]:
     data = envelope.get("data")
     if not isinstance(data, dict):
         raise WireError("missing data object")
-    if cls is UsageExchangeMessage:
-        # JSON stringified the integer bin keys of the dict-of-dict
-        # snapshot; restore them so histogram application sees ints
-        snapshot = data.get("snapshot") or {}
-        data = dict(data, snapshot={
-            user: {int(b): float(v) for b, v in bins.items()}
-            for user, bins in snapshot.items()})
     try:
         message = cls(**data)
     except TypeError as exc:

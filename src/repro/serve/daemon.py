@@ -15,6 +15,7 @@ seeded random shares and usage).
 from __future__ import annotations
 
 import os
+import sys
 import tempfile
 import threading
 import time
@@ -170,6 +171,12 @@ class AequusDaemon:
         self._stopping = threading.Event()
         self._stopped = False
         self.ticks = 0
+        self._tick_errors = site.registry.counter(
+            "aequus_daemon_tick_errors_total",
+            "Tick-thread rounds that raised; the daemon logs each and "
+            "keeps ticking").labels()
+        #: where tick errors go when no operational log is configured
+        self._error_log = JsonLogger(sys.stderr)
         #: structured operational log: one JSON line per tick, per FCS
         #: refresh (seq, duration, cache hit/miss) and per exchange round;
         #: wall-clock timestamps (this is the real-time runtime)
@@ -245,33 +252,45 @@ class AequusDaemon:
             now = time.monotonic()
             elapsed = (now - last) * self.time_factor
             last = now
-            sent_before = self.site.uss.exchanges_sent if self.log else 0
-            t0 = time.perf_counter()
-            # the engine is only ever advanced from this thread; server
-            # threads reach the stack through snapshots and ingress queues.
-            # Pump the USS transport on both sides of the advance: inbound
-            # exchanges buffered by a socket transport (repro.grid) are
-            # applied on this thread, before the services tick and again
-            # right after, so a freshly arrived delta never waits a full
-            # tick to land (the sim transport's pump is a no-op).
-            self.site.network.pump()
-            self.engine.run_until(self.engine.now + elapsed)
-            self.site.network.pump()
-            if self._trace_spool is not None:
-                self._pump_trace_spool()
-            self.ticks += 1
-            if self.log is not None:
-                self.log.log("tick", n=self.ticks,
-                             engine_now=round(self.engine.now, 3),
-                             advanced=round(elapsed, 3),
-                             duration=round(time.perf_counter() - t0, 6))
-                exchanged = self.site.uss.exchanges_sent - sent_before
-                if exchanged:
-                    self.log.log("exchange", site=self.site.name,
-                                 rounds=exchanged,
-                                 seq=self.site.uss._seq,
-                                 stale=self.site.uss.exchanges_stale,
-                                 skipped=self.site.uss.exchanges_skipped)
+            try:
+                self._tick(elapsed)
+            except Exception as exc:
+                # one bad tick (a pump handler or service that raised) must
+                # not end the thread: the daemon would go on serving a
+                # frozen snapshot.  Count it, log it, tick again.
+                self._tick_errors.inc()
+                (self.log or self._error_log).log(
+                    "tick_error", site=self.site.name, n=self.ticks,
+                    error=type(exc).__name__, detail=str(exc)[:500])
+
+    def _tick(self, elapsed: float) -> None:
+        sent_before = self.site.uss.exchanges_sent if self.log else 0
+        t0 = time.perf_counter()
+        # the engine is only ever advanced from this thread; server
+        # threads reach the stack through snapshots and ingress queues.
+        # Pump the USS transport on both sides of the advance: inbound
+        # exchanges buffered by a socket transport (repro.grid) are
+        # applied on this thread, before the services tick and again
+        # right after, so a freshly arrived delta never waits a full
+        # tick to land (the sim transport's pump is a no-op).
+        self.site.network.pump()
+        self.engine.run_until(self.engine.now + elapsed)
+        self.site.network.pump()
+        if self._trace_spool is not None:
+            self._pump_trace_spool()
+        self.ticks += 1
+        if self.log is not None:
+            self.log.log("tick", n=self.ticks,
+                         engine_now=round(self.engine.now, 3),
+                         advanced=round(elapsed, 3),
+                         duration=round(time.perf_counter() - t0, 6))
+            exchanged = self.site.uss.exchanges_sent - sent_before
+            if exchanged:
+                self.log.log("exchange", site=self.site.name,
+                             rounds=exchanged,
+                             seq=self.site.uss._seq,
+                             stale=self.site.uss.exchanges_stale,
+                             skipped=self.site.uss.exchanges_skipped)
 
     def stop(self) -> None:
         """Shut the daemon down; idempotent and safe before :meth:`start`.

@@ -5,7 +5,7 @@ from .cache import CacheStats, TTLCache
 from .fcs import FairshareCalculationService
 from .irs import IdentityResolutionError, IdentityResolutionService, table_endpoint
 from .messages import (PolicyExportMessage, UsageDeltaMessage,
-                       UsageExchangeMessage, UsageResyncRequest)
+                       UsageResyncRequest)
 from .network import Network, NetworkStats
 from .pds import PolicyDistributionService
 from .site import AequusSite, ParticipationMode, SiteConfig, connect_sites
@@ -16,8 +16,7 @@ __all__ = [
     "CacheStats", "TTLCache",
     "FairshareCalculationService",
     "IdentityResolutionError", "IdentityResolutionService", "table_endpoint",
-    "PolicyExportMessage", "UsageDeltaMessage", "UsageExchangeMessage",
-    "UsageResyncRequest",
+    "PolicyExportMessage", "UsageDeltaMessage", "UsageResyncRequest",
     "Network", "NetworkStats",
     "PolicyDistributionService",
     "AequusSite", "ParticipationMode", "SiteConfig", "connect_sites",

@@ -32,9 +32,11 @@ and is **incremental end to end** (DESIGN.md §12):
   fraction of each miss is exported as a gauge.
 
 Hits and misses are tracked in
-:attr:`FairshareCalculationService.refresh_stats`.  UMS stand-ins without
-the cursor API (benchmark harnesses, stubs) transparently get the legacy
-digest-and-full-compute path.
+:attr:`FairshareCalculationService.refresh_stats`.  The FCS reads its UMS
+through the totals-cursor interface only (``register_totals_cursor``,
+``drain_totals_changes``, ``usage_totals_base``, ``usage_scale``,
+``usage_horizons``, ``drain_applied_traces``); a stand-in UMS implements
+the same methods.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from ..core.vector import FairshareVector
 from ..obs import trace
 from ..obs.registry import AGE_BUCKETS, MetricsRegistry, metric_property
 from ..sim.engine import PeriodicTask, SimulationEngine
-from .cache import LeafValueMap, RegistryCacheStats, usage_digest
+from .cache import LeafValueMap, RegistryCacheStats
 from .pds import PolicyDistributionService
 from .ums import UsageMonitoringService
 
@@ -75,7 +77,6 @@ class FairshareCalculationService:
                  unknown_user_value: float = 0.5,
                  identity_map: Optional[Dict[str, str]] = None,
                  start_offset: float = 0.0,
-                 incremental: bool = True,
                  registry: Optional[MetricsRegistry] = None):
         self.site = site
         self.engine = engine
@@ -151,16 +152,7 @@ class FairshareCalculationService:
         self._tree_cache: Optional[FairshareTree] = None
         self._values: Mapping[str, float] = {}
         self._values_vec: Optional["np.ndarray"] = None
-        # -- incremental usage fold (UMSes exposing the totals-cursor API) --
-        #: kill switch: ``incremental=False`` forces the legacy
-        #: digest-and-full-compute refresh on every round
-        self.incremental = incremental
-        self._ums_cursor: Optional[int] = None
-        register = getattr(ums, "register_totals_cursor", None)
-        if incremental and register is not None \
-                and hasattr(ums, "usage_totals_base") \
-                and hasattr(ums, "usage_scale"):
-            self._ums_cursor = register()
+        self._ums_cursor = ums.register_totals_cursor()
         #: alias-folded scale-invariant usage (policy key -> base total)
         self._fold: Dict[str, float] = {}
         #: users currently contributing to each alias-targeted key
@@ -202,13 +194,11 @@ class FairshareCalculationService:
             # claim the wire trace ids the UMS folded in since our last
             # refresh: they annotate this span and the snapshot.publish
             # child, completing the cross-daemon causal chain
-            drain = getattr(self.ums, "drain_applied_traces", None)
-            if drain is not None:
-                traces = drain()
-                if traces:
-                    self._pending_traces.extend(traces)
-                    if sp is not None:
-                        sp["traces"] = traces
+            traces = self.ums.drain_applied_traces()
+            if traces:
+                self._pending_traces.extend(traces)
+                if sp is not None:
+                    sp["traces"] = traces
             self._refresh(timed, sp)
         if timed:
             self.last_refresh_seconds = time.perf_counter() - t_start
@@ -216,24 +206,11 @@ class FairshareCalculationService:
 
     def _refresh(self, timed: bool, sp: Optional[Dict] = None) -> None:
         epoch = self.pds.policy_epoch()
-        if self._ums_cursor is not None:
-            # incremental usage state: fold only the users whose base
-            # totals changed; the monotone version counter IS the digest
-            changed_keys = self._update_fold()
-            scale = self.ums.usage_scale()
-            refresh_key = (epoch, self._usage_version)
-        else:
-            # legacy stub-UMS path: usage is recorded under external grid
-            # identities; fold aliases onto policy leaves and digest the
-            # folded totals exactly
-            totals: Dict[str, float] = {}
-            for user, value in self.ums.usage_totals().items():
-                key = self.identity_map.get(user, user)
-                totals[key] = totals.get(key, 0.0) + value
-            self._fold = totals
-            changed_keys = None
-            scale = 1.0
-            refresh_key = (epoch, usage_digest(totals))
+        # fold only the users whose base totals changed; the monotone
+        # version counter is the usage half of the cache key
+        changed_keys = self._update_fold()
+        scale = self.ums.usage_scale()
+        refresh_key = (epoch, self._usage_version)
         if self._result is not None and refresh_key == self._refresh_key:
             # idle fast path: same policy epoch, same usage state — shares,
             # priorities and projected values are scale-invariant, so pure
@@ -267,10 +244,7 @@ class FairshareCalculationService:
             self._compile_full(policy, epoch, timed, kind="full")
             layout_changed = True
         elif epoch != self._flat_epoch:
-            if not self.incremental:
-                self._compile_full(policy, epoch, timed, kind="full")
-                layout_changed = True
-            elif policy.revision != self._flat_revision:
+            if policy.revision != self._flat_revision:
                 edits = policy.edits_since(self._flat_revision)
                 spliced = None
                 if edits:
@@ -483,13 +457,9 @@ class FairshareCalculationService:
 
         On a cached-epoch hit the *values* are unchanged but the horizons
         still advance (idle origins keep heartbeating), so the capture
-        runs on both refresh paths.  Stub UMSes without horizon support
-        (benchmark isolation harnesses) leave the set empty.
+        runs on both refresh paths.
         """
-        getter = getattr(self.ums, "usage_horizons", None)
-        if getter is None:
-            return
-        horizons = getter()
+        horizons = self.ums.usage_horizons()
         self._horizons = horizons
         if self.registry.enabled and horizons:
             now = self.engine.now
@@ -655,8 +625,4 @@ class FairshareCalculationService:
         if self._task is not None:
             self._task.cancel()
             self._task = None
-        if self._ums_cursor is not None:
-            release = getattr(self.ums, "release_totals_cursor", None)
-            if release is not None:
-                release(self._ums_cursor)
-            self._ums_cursor = None
+        self.ums.release_totals_cursor(self._ums_cursor)

@@ -70,12 +70,7 @@ class SiteConfig:
 
     histogram_interval: float = 60.0
     uss_exchange_interval: float = 30.0
-    #: delta exchange (sequence-numbered changed-entry publishes with
-    #: automatic resync) vs the original full-snapshot-every-tick reference
-    uss_delta_exchange: bool = True
     ums_refresh_interval: float = 30.0
-    #: dirty-user incremental UMS refresh vs full merge-and-decay reference
-    ums_incremental: bool = True
     fcs_refresh_interval: float = 30.0
     pds_refresh_interval: float = 300.0
     libaequus_cache_ttl: float = 15.0
@@ -115,7 +110,6 @@ class AequusSite:
             histogram_interval=cfg.histogram_interval,
             exchange_interval=cfg.uss_exchange_interval,
             publish=mode.publishes,
-            delta_exchange=cfg.uss_delta_exchange,
             start_offset=cfg.start_offset,
             registry=self.registry,
         )
@@ -124,7 +118,6 @@ class AequusSite:
             decay=cfg.decay(),
             refresh_interval=cfg.ums_refresh_interval,
             consider_remote=mode.consumes_remote,
-            incremental=cfg.ums_incremental,
             start_offset=cfg.start_offset,
             registry=self.registry,
         )

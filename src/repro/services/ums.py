@@ -16,8 +16,10 @@ multiply by ``0.5**(Δt/half_life)`` (``decay.weight(Δt)``); with
 bin midpoint still lies in the future of the previous refresh (the ages
 were clamped at zero) stay in a "young" set and are recomputed until the
 midpoint has passed, keeping the shift exact.  Decay families whose
-weights are not multiplicative in age (linear, window, step) fall back to
-the full per-user recompute every refresh, as does the priming refresh.
+weights are not multiplicative in age (linear, window, step) run the
+full merge-and-decay refresh every period, as does the priming refresh;
+the decay type alone selects the path (:attr:`UsageMonitoringService.
+incremental`).
 
 The analytic shift is applied as one *global scale scalar* (DESIGN.md
 §12), not a per-user multiply: cached totals are stored as
@@ -70,7 +72,6 @@ class UsageMonitoringService:
                  decay: Optional[DecayFunction] = None,
                  refresh_interval: float = 30.0,
                  consider_remote: bool = True,
-                 incremental: bool = True,
                  start_offset: float = 0.0,
                  registry: Optional[MetricsRegistry] = None):
         if not sources:
@@ -102,10 +103,9 @@ class UsageMonitoringService:
             "Wall time of one UMS refresh").labels()
         # the analytic age shift is exact only for decays multiplicative in
         # age; other families recompute every user each refresh
-        self.incremental = incremental and isinstance(
-            self.decay, (ExponentialDecay, NoDecay))
-        self._cursors: List[Optional[int]] = [None] * len(self.sources)
-        if self.incremental:
+        self._incremental = isinstance(self.decay, (ExponentialDecay, NoDecay))
+        self._cursors: List[int] = []
+        if self._incremental:
             self._cursors = [
                 uss.register_usage_cursor(include_remote=consider_remote)
                 for uss in self.sources]
@@ -143,6 +143,11 @@ class UsageMonitoringService:
     #: clean users advanced by the analytic age shift (one multiply each)
     users_shifted = metric_property("users_shifted")
 
+    @property
+    def incremental(self) -> bool:
+        """Age-shift refreshes (decays multiplicative in age) vs full ones."""
+        return self._incremental
+
     def refresh(self) -> None:
         """Advance the cached decayed per-user totals to ``engine.now``."""
         timed = self.registry.enabled
@@ -154,19 +159,15 @@ class UsageMonitoringService:
             # span's args and queue up for the FCS to claim
             traces: List[str] = []
             for uss in self.sources:
-                drain = getattr(uss, "drain_applied_traces", None)
-                if drain is not None:
-                    traces.extend(drain())
+                traces.extend(uss.drain_applied_traces())
             if traces:
                 self._applied_traces.extend(traces)
                 if sp is not None:
                     sp["traces"] = traces
             dirty: Set[str] = set()
-            if self.incremental:
-                for uss, cursor in zip(self.sources, self._cursors):
-                    if cursor is not None:
-                        dirty |= uss.drain_dirty_users(cursor)
-            if not self.incremental or not self._primed:
+            for uss, cursor in zip(self.sources, self._cursors):
+                dirty |= uss.drain_dirty_users(cursor)
+            if not self._incremental or not self._primed:
                 self._full_refresh(now)
             else:
                 self._incremental_refresh(now, dirty)
@@ -177,7 +178,8 @@ class UsageMonitoringService:
             self._refresh_hist.observe(time.perf_counter() - t0)
 
     def _full_refresh(self, now: float) -> None:
-        """Merge every histogram and re-decay every user (reference path)."""
+        """Merge every histogram and re-decay every user (priming refresh,
+        and every refresh under a decay that is not multiplicative in age)."""
         totals: Dict[str, float] = {}
         for uss in self.sources:
             merged = uss.global_usage(include_remote=self.consider_remote)
@@ -189,7 +191,7 @@ class UsageMonitoringService:
             state[0] = True
             state[1].clear()
         self._metrics["full_refreshes"].inc()
-        if self.incremental:
+        if self._incremental:
             # seed the age-shift bookkeeping for subsequent delta refreshes
             mids: Dict[str, float] = {}
             for uss in self.sources:
@@ -360,8 +362,6 @@ class UsageMonitoringService:
         if self._task is not None:
             self._task.cancel()
             self._task = None
-        if self.incremental:
-            for uss, cursor in zip(self.sources, self._cursors):
-                if cursor is not None:
-                    uss.release_usage_cursor(cursor)
-            self._cursors = [None] * len(self.sources)
+        for uss, cursor in zip(self.sources, self._cursors):
+            uss.release_usage_cursor(cursor)
+        self._cursors = []

@@ -6,9 +6,9 @@ is also the *only* inter-site channel: Aequus instances "communicate only
 by exchanging data through the USS services", relaying per-user histogram
 snapshots rather than individual job records.
 
-Exchange protocol (DESIGN.md §7).  By default the USS is **incremental**:
-each publish carries only the (user, bin) entries that changed since the
-previous publish, as absolute bin values in the compact array format of
+Exchange protocol (DESIGN.md §7).  Each publish carries only the
+(user, bin) entries that changed since the previous publish, as absolute
+bin values in the compact array format of
 :class:`~repro.services.messages.UsageDeltaMessage`.  Publishes are
 numbered consecutively (``seq``); the first publish — and every resync
 reply — is a ``full=True`` complete-state snapshot.  A receiver applies a
@@ -16,8 +16,15 @@ delta only when it extends its last applied sequence by exactly one;
 older messages are dropped as stale (network jitter can reorder them) and
 a gap (partition, drop, late join) triggers a
 :class:`~repro.services.messages.UsageResyncRequest`, answered with a full
-snapshot.  ``delta_exchange=False`` restores the original
-full-snapshot-every-tick behaviour, retained as the measured reference.
+snapshot.
+
+Peer messages are untrusted input.  A receiver checks a whole message
+(array shapes, index ranges, finite non-negative charges) before it
+touches any state, and only then applies it and advances its sequence
+and horizon.  A rejected message is counted in
+``aequus_uss_rejected_total{reason}``; a rejected non-full delta also
+requests a resync (a rejected full snapshot does not, so a faulty peer
+cannot start a request/reply storm).
 
 Participation is asymmetric by design: a site may publish without
 consuming or vice versa — the partial-participation experiment
@@ -38,6 +45,7 @@ Fig. 11 update delay into the continuously exported
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import time
 import uuid
@@ -45,14 +53,26 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Sequence, Set
 
 from ..core.decay import DecayFunction
-from ..core.usage import UsageHistogram, UsageRecord
+from ..core.usage import UsageHistogram, UsageRecord, entry_arrays_error
 from ..obs import trace
 from ..obs.registry import AGE_BUCKETS, MetricsRegistry, metric_property
 from ..sim.engine import PeriodicTask, SimulationEngine
-from .messages import UsageDeltaMessage, UsageExchangeMessage, UsageResyncRequest
+from .messages import UsageDeltaMessage, UsageResyncRequest
 from .network import Network
 
 __all__ = ["UsageStatisticsService"]
+
+#: why a peer message was rejected: bad header or type, histogram interval
+#: of another configuration, arrays of unequal length or wrong element
+#: type, a user or bin index out of range, a negative or non-finite charge
+REJECT_REASONS = ("malformed", "interval", "shape", "index", "charge")
+#: rejections a full snapshot from the same peer can repair
+_RESYNC_REASONS = frozenset({"shape", "index", "charge"})
+
+
+def _finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
 
 
 class UsageStatisticsService:
@@ -62,7 +82,6 @@ class UsageStatisticsService:
                  histogram_interval: float = 60.0,
                  exchange_interval: float = 30.0,
                  publish: bool = True,
-                 delta_exchange: bool = True,
                  prune_horizon: Optional[float] = None,
                  start_offset: float = 0.0,
                  registry: Optional[MetricsRegistry] = None,
@@ -71,7 +90,6 @@ class UsageStatisticsService:
         self.engine = engine
         self.network = network
         self.publish = publish
-        self.delta_exchange = delta_exchange
         self.exchange_interval = exchange_interval
         #: optional history horizon: bins entirely older than this are
         #: dropped at each exchange tick (bounds long-run memory)
@@ -110,6 +128,13 @@ class UsageStatisticsService:
                 "Peer incarnation changes observed (their sequence space "
                 "reset; repaired via full resync)").labels(),
         }
+        rejected = self.registry.counter(
+            "aequus_uss_rejected_total",
+            "Peer usage messages rejected before apply, by reason",
+            ("reason",))
+        # every reason is created now so a scrape renders the zeros
+        self._rejected = {reason: rejected.labels(reason=reason)
+                          for reason in REJECT_REASONS}
         self._exchange_hist = self.registry.histogram(
             "aequus_uss_exchange_seconds",
             "Wall time of one USS exchange tick (drain, prune, publish)"
@@ -140,11 +165,10 @@ class UsageStatisticsService:
         #: out instead of leaking.
         self._applied_traces: Deque[str] = deque(maxlen=256)
         self._exchange_cursor: Optional[int] = None
-        if delta_exchange and publish:
+        if publish:
             self._exchange_cursor = self.local.register_cursor()
         #: receiver state per remote site
         self._recv_seq: Dict[str, int] = {}
-        self._recv_sent_at: Dict[str, float] = {}
         self._recv_boot: Dict[str, str] = {}
         #: per-origin usage high-watermark (virtual time) — advanced by
         #: applied messages and current-seq heartbeats, never across gaps
@@ -242,18 +266,7 @@ class UsageStatisticsService:
                 child.observe(max(0.0, now - horizon))
         if not self.publish or not self.peers:
             return
-        if not self.delta_exchange:
-            message = UsageExchangeMessage(
-                site=self.site,
-                sent_at=self.engine.now,
-                interval=self.local.interval,
-                snapshot=self.local.snapshot(),
-                horizon=self.engine.now,
-                boot=self.boot_id,
-                tctx=self._make_tctx(),
-            )
-        else:
-            message = self._build_delta()
+        message = self._build_delta()
         tctx = message.tctx
         if tctx is None:
             self._send_to_peers(message)
@@ -345,14 +358,43 @@ class UsageStatisticsService:
         if isinstance(message, UsageResyncRequest):
             self._serve_resync(message)
             return
-        if message.interval != self.local.interval:
-            # Sites must agree on the histogram interval for bins to align;
-            # mismatched configurations are dropped (and visible in stats).
-            return
-        if isinstance(message, UsageDeltaMessage):
+        reason = self._rejection(message)
+        if reason is None:
             self._on_delta(message)
-        else:
-            self._on_full_snapshot(message)
+            return
+        self._rejected[reason].inc()
+        if reason in _RESYNC_REASONS and not message.full:
+            # the peer's sequence moved past us but its delta is unusable:
+            # a full snapshot repairs state.  A rejected full snapshot is
+            # only counted, so a faulty peer cannot start a storm.
+            self._request_resync(message.site)
+
+    def _rejection(self, message) -> Optional[str]:
+        """Why a peer message must not be applied (None: it may).
+
+        Checks the whole message before any receiver state changes, so a
+        bad message is either rejected outright or applied completely.
+        """
+        if not isinstance(message, UsageDeltaMessage) \
+                or not isinstance(message.site, str) \
+                or type(message.seq) is not int or message.seq < 0 \
+                or not isinstance(message.full, bool) \
+                or not isinstance(message.boot, (str, type(None))) \
+                or not isinstance(message.tctx, (dict, type(None))) \
+                or not _finite(message.usage_horizon):
+            return "malformed"
+        if message.interval != self.local.interval:
+            # sites must agree on the histogram interval for bins to align
+            return "interval"
+        return entry_arrays_error(message.user_table, message.user_idx,
+                                  message.bin_idx, message.charges)
+
+    def _request_resync(self, site: str) -> None:
+        self._metrics["resyncs_requested"].inc()
+        self.network.send(
+            self._endpoint, f"uss:{site}",
+            UsageResyncRequest(site=self.site, sent_at=self.engine.now,
+                               target=site))
 
     def _remote_histogram(self, site: str) -> UsageHistogram:
         """The persistent per-site histogram, created on first contact.
@@ -377,11 +419,11 @@ class UsageStatisticsService:
     def _note_boot(self, site: str, boot: Optional[str]) -> bool:
         """Track a peer's incarnation; True when it changed (restart).
 
-        A restarted peer's sequence numbers and ``sent_at`` clock start
-        over, so every receiver-side ordering cursor for it is reset —
-        otherwise its publishes would compare as stale against the dead
-        incarnation's high-watermarks and be dropped forever.  The normal
-        gap logic then repairs state: a non-full first contact triggers a
+        A restarted peer's sequence numbers start over, so the receiver's
+        sequence cursor for it is reset — otherwise its publishes would
+        compare as stale against the dead incarnation's high-watermark and
+        be dropped forever.  The normal gap logic then repairs state: a
+        non-full first contact triggers a
         :class:`~repro.services.messages.UsageResyncRequest`, a full
         snapshot applies directly.
         """
@@ -393,31 +435,10 @@ class UsageStatisticsService:
             return False
         self._metrics["peer_restarts"].inc()
         self._recv_seq[site] = 0
-        self._recv_sent_at.pop(site, None)
         return True
 
-    def _on_full_snapshot(self, message: UsageExchangeMessage) -> None:
-        """Legacy dict-of-dict full snapshot (``delta_exchange=False`` peers)."""
-        self._note_boot(message.site, message.boot)
-        last = self._recv_sent_at.get(message.site)
-        if last is not None and message.sent_at < last:
-            self._metrics["exchanges_stale"].inc()
-            return
-        self._recv_sent_at[message.site] = message.sent_at
-        self._metrics["exchanges_received"].inc()
-        self._note_horizon(message.site, message.usage_horizon)
-        tctx = message.tctx
-        if tctx is None:
-            self._remote_histogram(message.site).replace(message.snapshot)
-            return
-        with trace.span("uss.apply", trace=tctx.get("id"),
-                        origin=message.site, site=self.site, full=True,
-                        origin_pid=tctx.get("pid"),
-                        origin_vts=tctx.get("vts")):
-            self._remote_histogram(message.site).replace(message.snapshot)
-        self._note_applied_trace(tctx)
-
     def _on_delta(self, message: UsageDeltaMessage) -> None:
+        """Apply a checked message, then advance its origin's sequence."""
         self._note_boot(message.site, message.boot)
         last = self._recv_seq.get(message.site, 0)
         heartbeat = not message.full and not message.charges
@@ -441,37 +462,32 @@ class UsageStatisticsService:
                 # state can no longer be patched — ask for a full snapshot.
                 # A heartbeat never advances the applied sequence, so the
                 # resync reply remains the only way to catch up.
-                self._metrics["resyncs_requested"].inc()
-                self.network.send(
-                    self._endpoint, f"uss:{message.site}",
-                    UsageResyncRequest(site=self.site,
-                                       sent_at=self.engine.now,
-                                       target=message.site))
+                self._request_resync(message.site)
                 return
-        self._recv_seq[message.site] = message.seq
-        self._recv_sent_at[message.site] = message.sent_at
-        self._note_horizon(message.site, message.usage_horizon)
-        self._metrics["exchanges_received"].inc()
+        hist = self._remote_histogram(message.site)
         tctx = message.tctx
         if tctx is None:
-            self._remote_histogram(message.site).apply_arrays(
-                message.user_table, message.user_idx, message.bin_idx,
-                message.charges, full=message.full)
-            return
-        # the remote end of the causal chain: same trace id as the
-        # origin's uss.publish, recorded from a *different* process
-        with trace.span("uss.apply", trace=tctx.get("id"),
-                        origin=message.site, site=self.site,
-                        seq=message.seq, full=message.full,
-                        origin_pid=tctx.get("pid"),
-                        origin_vts=tctx.get("vts")):
-            self._remote_histogram(message.site).apply_arrays(
-                message.user_table, message.user_idx, message.bin_idx,
-                message.charges, full=message.full)
-        self._note_applied_trace(tctx)
+            hist.apply_arrays(message.user_table, message.user_idx,
+                              message.bin_idx, message.charges,
+                              full=message.full)
+        else:
+            # the remote end of the causal chain: same trace id as the
+            # origin's uss.publish, recorded from a *different* process
+            with trace.span("uss.apply", trace=tctx.get("id"),
+                            origin=message.site, site=self.site,
+                            seq=message.seq, full=message.full,
+                            origin_pid=tctx.get("pid"),
+                            origin_vts=tctx.get("vts")):
+                hist.apply_arrays(message.user_table, message.user_idx,
+                                  message.bin_idx, message.charges,
+                                  full=message.full)
+            self._note_applied_trace(tctx)
+        self._recv_seq[message.site] = message.seq
+        self._note_horizon(message.site, message.usage_horizon)
+        self._metrics["exchanges_received"].inc()
 
     def _serve_resync(self, request: UsageResyncRequest) -> None:
-        if not self.publish or not self.delta_exchange:
+        if not self.publish:
             return
         self._metrics["resyncs_served"].inc()
         # current state at the current sequence number; an in-flight delta
@@ -576,33 +592,14 @@ class UsageStatisticsService:
             if hist is not None:
                 hist.release_cursor(hist_cursor)
 
-    def decayed_user_total(self, user: str, now: float, decay: DecayFunction,
-                           include_remote: bool = True) -> Optional[float]:
-        """One user's decayed usage across local (+ remote) histograms.
-
-        Returns None when the user holds no bins anywhere — the caller
-        drops them from its cache, matching the full-recompute view.
-        """
-        total = 0.0
-        found = False
-        if self.local.has_user(user):
-            total += self.local.decayed_total(user, now, decay)
-            found = True
-        if include_remote:
-            for hist in self.remote.values():
-                if hist.has_user(user):
-                    total += hist.decayed_total(user, now, decay)
-                    found = True
-        return total if found else None
-
     def decayed_user_totals(self, users: Sequence[str], now: float,
                             decay: DecayFunction,
                             include_remote: bool = True) -> Dict[str, float]:
-        """Batched :meth:`decayed_user_total` (one 2-D pass per histogram).
+        """Decayed usage of ``users`` across local (+ remote) histograms,
+        in one 2-D pass per histogram.
 
         Users absent from every tracked histogram are absent from the
-        result — the caller drops them, matching the per-user API's
-        ``None``.
+        result — the caller drops them, as a full recompute would.
         """
         totals: Dict[str, float] = {}
         histograms = [self.local]
@@ -629,22 +626,8 @@ class UsageStatisticsService:
                     mids[user] = m
         return mids
 
-    def newest_user_midpoint(self, user: str,
-                             include_remote: bool = True) -> Optional[float]:
-        """Newest bin midpoint for a user across tracked histograms."""
-        mids = []
-        m = self.local.newest_midpoint(user)
-        if m is not None:
-            mids.append(m)
-        if include_remote:
-            for hist in self.remote.values():
-                m = hist.newest_midpoint(user)
-                if m is not None:
-                    mids.append(m)
-        return max(mids) if mids else None
-
     def newest_user_midpoints(self, include_remote: bool = True) -> Dict[str, float]:
-        """``newest_user_midpoint`` for every known user in one pass."""
+        """Newest bin midpoint of every known user in one pass."""
         mids = dict(self.local.newest_midpoints())
         if include_remote:
             for hist in self.remote.values():

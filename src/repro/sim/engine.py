@@ -103,9 +103,14 @@ class SimulationEngine:
         def fire() -> None:
             if task.cancelled:
                 return
-            task.callback()
-            delay = task.interval + (task.jitter_fn() if task.jitter_fn else 0.0)
-            self.schedule(delay, fire)
+            try:
+                task.callback()
+            finally:
+                # a callback that raises keeps its schedule: the aequusd
+                # tick loop survives the error, and the service must too
+                delay = task.interval + (
+                    task.jitter_fn() if task.jitter_fn else 0.0)
+                self.schedule(delay, fire)
 
         self.schedule(start_offset, fire)
         return task

@@ -1,10 +1,13 @@
 """Unit tests for usage records, histograms, and usage trees."""
 
+import math
+
 import pytest
 
 from repro.core.decay import ExponentialDecay, NoDecay
 from repro.core.policy import PolicyTree
-from repro.core.usage import UsageHistogram, UsageNode, UsageRecord, UsageTree, build_usage_tree
+from repro.core.usage import (UsageHistogram, UsageNode, UsageRecord,
+                              UsageTree, build_usage_tree, entry_arrays_error)
 
 
 class TestUsageRecord:
@@ -88,9 +91,12 @@ class TestUsageHistogram:
         h.add_charge("a", 0.0, 120.0)
         h.add_charge("b", 30.0, 90.0)
         h2 = UsageHistogram(interval=60.0)
-        h2.replace(h.snapshot())
+        h2.add_charge("a", 600.0, 660.0)  # state the snapshot replaces
+        h2.add_charge("gone", 0.0, 60.0)
+        h2.apply_arrays(*h.snapshot_arrays(), full=True)
         assert h2.total() == pytest.approx(h.total())
         assert h2.user_bins("a") == pytest.approx(h.user_bins("a"))
+        assert h2.snapshot() == h.snapshot()
 
     def test_merge_adds_charges(self):
         h1 = UsageHistogram(interval=60.0)
@@ -121,6 +127,15 @@ class TestUsageHistogram:
     def test_negative_bin_charge_rejected(self):
         with pytest.raises(ValueError):
             UsageHistogram().add_bin("u", 0, -1.0)
+
+    @pytest.mark.parametrize("charge", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bin_charge_rejected(self, charge):
+        h = UsageHistogram()
+        with pytest.raises(ValueError):
+            h.add_bin("u", 0, charge)
+        with pytest.raises(ValueError):
+            h.set_bin("u", 0, charge)
+        assert h.users == []
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
@@ -174,7 +189,7 @@ class TestChangeCursors:
         h = UsageHistogram(interval=10.0)
         h.add_bin("old", 2, 1.0)
         cur = h.register_cursor()
-        h.replace({"new": {5: 3.0}})
+        h.apply_arrays(["new"], [0], [5], [3.0], full=True)
         assert h.drain_cursor(cur) == {"old": {2}, "new": {5}}
 
 
@@ -223,6 +238,24 @@ class TestCompactArrays:
         h2 = UsageHistogram(interval=60.0)
         h2.apply_arrays(*h.snapshot_arrays(), full=True)
         assert h2.snapshot() == h.snapshot()
+
+    @pytest.mark.parametrize("arrays,reason", [
+        ((["u"], [0], [0], [1.0]), None),
+        (([], [], [], []), None),
+        ((["u"], [0, 0], [0], [1.0]), "shape"),
+        ((["u", 7], [0], [0], [1.0]), "shape"),
+        (("u", [0], [0], [1.0]), "shape"),
+        ((["u"], [0.5], [0], [1.0]), "shape"),
+        ((["u"], [0], [0], ["1.0"]), "shape"),
+        ((["u"], [-1], [0], [1.0]), "index"),
+        ((["u"], [1], [0], [1.0]), "index"),
+        ((["u"], [0], [-3], [1.0]), None),   # usage before the clock origin
+        ((["u"], [0, 0], [0, 1], [1.0, -1.0]), "charge"),
+        ((["u"], [0], [0], [math.nan]), "charge"),
+        ((["u"], [0], [0], [math.inf]), "charge"),
+    ])
+    def test_entry_arrays_error(self, arrays, reason):
+        assert entry_arrays_error(*arrays) == reason
 
     def test_user_names_spelled_once(self):
         h = UsageHistogram(interval=10.0)

@@ -1,6 +1,7 @@
 """Frame codec: every USS message survives the wire byte-for-byte."""
 
 import json
+import math
 import struct
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from repro.grid.wire import (GRID_WIRE_VERSION, MAX_FRAME_BYTES, WireError,
                              decode_frame, encode_frame, frame_length)
 from repro.services.messages import (PolicyExportMessage, UsageDeltaMessage,
-                                     UsageExchangeMessage, UsageResyncRequest)
+                                     UsageResyncRequest)
 
 
 def _roundtrip(message):
@@ -29,15 +30,15 @@ class TestRoundtrip:
         assert _roundtrip(message) == message
 
     def test_full_snapshot_restores_int_bin_keys(self):
-        message = UsageExchangeMessage(
-            site="a", sent_at=1.0, interval=30.0,
-            snapshot={"alice": {0: 1.5, 12: 2.5}, "bob": {3: 0.25}},
+        message = UsageDeltaMessage(
+            site="a", sent_at=1.0, interval=30.0, seq=1, full=True,
+            user_table=["alice", "bob"], user_idx=[0, 0, 1],
+            bin_idx=[0, 12, 3], charges=[1.5, 2.5, 0.25],
             horizon=0.5, boot="cafe")
         decoded = _roundtrip(message)
         assert decoded == message
-        # JSON stringifies dict keys; the codec must hand ints back
-        assert all(isinstance(b, int)
-                   for bins in decoded.snapshot.values() for b in bins)
+        # bin indexes come back as ints, ready for histogram application
+        assert all(isinstance(b, int) for b in decoded.bin_idx)
 
     def test_empty_heartbeat(self):
         message = UsageDeltaMessage(site="a", sent_at=60.0, interval=30.0,
@@ -89,6 +90,22 @@ class TestRejection:
             "v": 1, "src": "x", "dst": "y", "type": "UsageResyncRequest",
             "data": {"site": "a", "sent_at": 1.0, "target": "b",
                      "surprise": True}}).encode()
+        with pytest.raises(WireError):
+            decode_frame(payload)
+
+    @pytest.mark.parametrize("value,token", [
+        (math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity")])
+    def test_non_finite_numbers_refused_both_ways(self, value, token):
+        message = UsageDeltaMessage(
+            site="a", sent_at=1.0, interval=30.0, seq=2, full=False,
+            user_table=["alice"], user_idx=[0], bin_idx=[0], charges=[value])
+        with pytest.raises(WireError):
+            encode_frame("uss:a", "uss:b", message)
+        # a peer whose encoder allows the token: the decoder refuses it
+        payload = json.dumps({
+            "v": 1, "src": "uss:a", "dst": "uss:b",
+            "type": "UsageDeltaMessage", "data": message.__dict__}).encode()
+        assert token.encode() in payload
         with pytest.raises(WireError):
             decode_frame(payload)
 

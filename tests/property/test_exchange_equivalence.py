@@ -1,15 +1,14 @@
-"""Property: the incremental usage data plane is observationally equivalent
-to the full-snapshot / full-recompute reference.
+"""Property: the usage data plane converges on the god's-eye view.
 
-Two grids run the *same* randomly generated world — identical job record
-schedule on a jitter-free network, including a randomly placed
-partition/heal window between a site pair — one with delta exchange +
-incremental UMS aggregation (the defaults), one with
-``delta_exchange=False`` / ``incremental=False``.  After both engines
-reach the same virtual end time, every site's decayed per-user usage
-totals must agree to float tolerance.  This covers the whole protocol
-surface: full first publish, content deltas, heartbeats, stale-message
-drops, and the partition-gap resync path.
+A grid runs a randomly generated world — a job record schedule on a
+jitter-free network, including a randomly placed partition/heal window
+between a site pair.  All records land by t=150 and every partition heals
+by t=180; at ``END_TIME`` each site's UMS totals must equal the merge of
+*every* site's local histogram (``UsageHistogram.merge`` +
+``decayed_totals``), decayed at that UMS's last refresh time, to float
+tolerance.  This covers the whole protocol surface: full first publish,
+content deltas, heartbeats, stale-message drops, and the partition-gap
+resync path.
 """
 
 import pytest
@@ -17,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.decay import ExponentialDecay
-from repro.core.usage import UsageRecord
+from repro.core.usage import UsageHistogram, UsageRecord
 from repro.services.network import Network
 from repro.services.ums import UsageMonitoringService
 from repro.services.uss import UsageStatisticsService
@@ -46,15 +45,14 @@ partitions = st.tuples(
     st.floats(min_value=5.0, max_value=60.0, allow_nan=False))
 
 
-def run_world(recs, partition_window, incremental):
+def run_world(recs, partition_window):
     engine = SimulationEngine()
     network = Network(engine, base_latency=0.1)
     usses = [
         UsageStatisticsService(
             f"s{i}", engine, network,
             histogram_interval=HISTOGRAM_INTERVAL,
-            exchange_interval=EXCHANGE_INTERVAL,
-            delta_exchange=incremental)
+            exchange_interval=EXCHANGE_INTERVAL)
         for i in range(N_SITES)]
     for a in usses:
         for b in usses:
@@ -64,7 +62,7 @@ def run_world(recs, partition_window, incremental):
         UsageMonitoringService(
             f"s{i}", engine, sources=[uss],
             decay=ExponentialDecay(half_life=3600.0),
-            refresh_interval=EXCHANGE_INTERVAL, incremental=incremental)
+            refresh_interval=EXCHANGE_INTERVAL)
         for i, uss in enumerate(usses)]
     for user, site, submit, duration in recs:
         engine.schedule_at(
@@ -75,7 +73,13 @@ def run_world(recs, partition_window, incremental):
     engine.schedule_at(t_cut, lambda: network.partition("uss:s0", "uss:s1"))
     engine.schedule_at(t_cut + length, lambda: network.heal("uss:s0", "uss:s1"))
     engine.run_until(END_TIME)
-    return {ums.site: ums.usage_totals() for ums in umses}
+    return usses, umses
+
+
+def gods_eye_totals(usses, now, decay):
+    """Every site's local usage merged, as no single site can see it."""
+    merged = UsageHistogram.merged([uss.local for uss in usses])
+    return merged.decayed_totals(now, decay)
 
 
 class TestDataPlaneEquivalence:
@@ -83,10 +87,11 @@ class TestDataPlaneEquivalence:
     @settings(max_examples=12, deadline=None)
     def test_totals_match_reference_including_partition_heal(
             self, recs, partition_window):
-        reference = run_world(recs, partition_window, incremental=False)
-        delta = run_world(recs, partition_window, incremental=True)
-        for site, ref_totals in reference.items():
-            got_totals = delta[site]
+        usses, umses = run_world(recs, partition_window)
+        for ums in umses:
+            site = ums.site
+            ref_totals = gods_eye_totals(usses, ums.computed_at, ums.decay)
+            got_totals = ums.usage_totals()
             for user in set(ref_totals) | set(got_totals):
                 assert got_totals.get(user, 0.0) == pytest.approx(
                     ref_totals.get(user, 0.0), rel=1e-6, abs=1e-6), (

@@ -7,8 +7,10 @@ Three layers, each checked against its from-scratch reference:
   fresh compile of the final tree;
 * :meth:`FlatPolicy.compute_delta` — dirty-leaf updates chained over
   random usage churn must match a full kernel pass at 1e-9;
-* the full FCS stack — an incremental site and an ``incremental=False``
-  site driven identically must serve the same values.
+* the full FCS stack — a site driven by random jobs and policy edits must
+  serve what a fresh ``FlatPolicy`` compile plus a full kernel pass and
+  projection of its UMS totals gives, and those totals must equal a full
+  merge-and-decay of the USS state.
 
 Plus the serve-plane invariant the PR promises: weight-only edits keep
 the compiled layout (leaf row ids and leaf generation) intact.
@@ -187,20 +189,18 @@ class TestComputeDeltaEquivalence:
                                        atol=1e-9)
 
 
-def build_stack(incremental: bool):
+def build_stack():
     engine = SimulationEngine()
     network = Network(engine, base_latency=0.1)
     uss = UsageStatisticsService("a", engine, network,
                                  histogram_interval=600.0, publish=False)
     ums = UsageMonitoringService("a", engine, [uss],
                                  decay=ExponentialDecay(half_life=3600.0),
-                                 refresh_interval=10.0,
-                                 incremental=incremental)
+                                 refresh_interval=10.0)
     pds = PolicyDistributionService("a", engine, base_policy(),
                                     refresh_interval=3600.0)
     fcs = FairshareCalculationService("a", engine, pds, ums,
-                                      refresh_interval=10.0,
-                                      incremental=incremental)
+                                      refresh_interval=10.0)
     return engine, uss, pds, fcs
 
 
@@ -210,6 +210,12 @@ stack_ops = st.tuples(
     st.integers(min_value=0, max_value=USERS_PER_GROUP - 1),
     st.floats(min_value=0.25, max_value=8.0, allow_nan=False),
 )
+
+
+def reference_result(fcs):
+    """A fresh compile plus a full kernel pass over the UMS totals."""
+    flat = FlatPolicy(fcs.pds.policy())
+    return flat.compute(fcs.ums.usage_totals(), parameters=fcs.parameters)
 
 
 class TestServiceStackEquivalence:
@@ -235,25 +241,34 @@ class TestServiceStackEquivalence:
                         pds.policy().remove_path(path)
             engine.run_until(engine.now + 20.0)
 
-        ei, ui, pi, fi = build_stack(True)
-        ef, uf, pf, ff = build_stack(False)
+        engine, uss, pds, fcs = build_stack()
         try:
-            drive(ei, ui, pi)
-            drive(ef, uf, pf)
-            vi, vf = fi.values(), ff.values()
-            assert set(vi) == set(vf)
-            for path in vf:
-                assert vi[path] == pytest.approx(vf[path], abs=1e-9)
-                assert fi.priority(path) == pytest.approx(
-                    ff.priority(path), abs=1e-9)
+            drive(engine, uss, pds)
+            ums = fcs.ums
+            merged = uss.global_usage().decayed_totals(ums.computed_at,
+                                                       ums.decay)
+            totals = ums.usage_totals()
+            assert set(totals) == set(merged)
+            for user in merged:
+                assert totals[user] == pytest.approx(merged[user], abs=1e-9)
+            ref = reference_result(fcs)
+            ref_values = dict(zip(ref.flat.leaf_paths,
+                                  fcs.projection.project_flat_array(ref)))
+            values = fcs.values()
+            assert set(values) == set(ref_values)
+            for path in ref_values:
+                assert values[path] == pytest.approx(ref_values[path],
+                                                     abs=1e-9)
+                assert fcs.priority(path) == pytest.approx(
+                    ref.node_priority(path), abs=1e-9)
         finally:
-            for svc in (fi, ff, pi, pf):
+            for svc in (fcs, pds):
                 svc.stop()
 
     def test_weight_only_edit_keeps_leaf_generation(self):
         """The serve-plane stability promise: a pure weight change must
         not invalidate published integer leaf ids."""
-        engine, uss, pds, fcs = build_stack(True)
+        engine, uss, pds, fcs = build_stack()
         try:
             engine.run_until(20.0)
             generation = fcs.leaf_generation
@@ -277,7 +292,7 @@ class TestServiceStackEquivalence:
     def test_idle_decay_refreshes_hit_the_cache(self):
         """Pure decay aging moves the UMS scale, not the fold: idle sites
         under exponential decay now hit instead of recomputing."""
-        engine, uss, pds, fcs = build_stack(True)
+        engine, uss, pds, fcs = build_stack()
         try:
             uss.record_job(UsageRecord(user="phys0", site="a",
                                        start=0.0, end=5.0))

@@ -45,7 +45,8 @@ class TestHistogramProperties:
         for start, duration in specs:
             h.add_charge("u", start, start + duration)
         h2 = UsageHistogram(interval)
-        h2.replace(h.snapshot())
+        h2.add_charge("stale", 0.0, interval)  # replaced by the snapshot
+        h2.apply_arrays(*h.snapshot_arrays(), full=True)
         assert h2.snapshot() == h.snapshot()
 
     @given(intervals, job_specs)

@@ -5,6 +5,8 @@ daemon that was never started still gets stop() called by ``finally``
 blocks — none of that may raise or hang.
 """
 
+import io
+import json
 import threading
 import time
 
@@ -64,3 +66,44 @@ class TestTickLoop:
             assert daemon.engine.now > before
         finally:
             daemon.stop()
+
+
+class TestTickErrors:
+    def test_failing_tick_is_logged_counted_and_survived(self):
+        buf = io.StringIO()
+        daemon = make_daemon(time_factor=600.0, json_log=buf)
+        network = daemon.site.network
+        pump = network.pump
+        raised = []
+
+        def pump_that_fails_once():
+            if not raised:
+                raised.append(daemon.ticks)
+                raise RuntimeError("transport fault")
+            return pump()
+
+        network.pump = pump_that_fails_once
+        daemon.start()
+        try:
+            deadline = time.monotonic() + 10.0
+            while not raised and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert raised
+            seq = daemon.backend.snapshot().seq
+            while time.monotonic() < deadline and (
+                    daemon.ticks <= raised[0] + 2
+                    or daemon.backend.snapshot().seq <= seq):
+                time.sleep(0.02)
+            # the thread outlived the fault: it kept ticking and the
+            # served snapshot kept moving
+            assert daemon._ticker.is_alive()
+            assert daemon.ticks > raised[0] + 2
+            assert daemon.backend.snapshot().seq > seq
+            assert daemon._tick_errors.value == 1
+        finally:
+            daemon.stop()
+        errors = [json.loads(line) for line in buf.getvalue().splitlines()
+                  if '"tick_error"' in line]
+        assert len(errors) == 1
+        assert errors[0]["error"] == "RuntimeError"
+        assert errors[0]["detail"] == "transport fault"

@@ -312,20 +312,3 @@ class TestFreshnessHorizons:
         text = render(fcs.registry)
         assert "aequus_snapshot_staleness_seconds" in text
         assert 'origin="b"' in text
-
-    def test_stub_ums_without_horizons_is_tolerated(self):
-        """Benchmark harnesses drive the FCS with minimal UMS stubs; the
-        horizon capture must degrade to an empty set, not crash."""
-        engine = SimulationEngine()
-
-        class StubUMS:
-            def usage_totals(self):
-                return {"alice": 10.0}
-
-        policy = PolicyTree.from_dict({"alice": 1})
-        pds = PolicyDistributionService("a", engine, policy=policy,
-                                        refresh_interval=100.0)
-        fcs = FairshareCalculationService("a", engine, pds=pds,
-                                          ums=StubUMS(),
-                                          refresh_interval=5.0)
-        assert fcs.usage_horizons() == {}

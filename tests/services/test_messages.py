@@ -1,44 +1,51 @@
 """Unit tests for the service message payloads."""
 
+import pytest
+
 from repro.core.policy import parse_policy
 from repro.services.messages import (PolicyExportMessage, UsageDeltaMessage,
-                                     UsageExchangeMessage, UsageResyncRequest)
+                                     UsageResyncRequest)
+
+
+def full_snapshot(snapshot):
+    """A ``full=True`` exchange message carrying ``user -> {bin: charge}``."""
+    user_table = list(snapshot)
+    user_idx, bin_idx, charges = [], [], []
+    for i, bins in enumerate(snapshot.values()):
+        for b, c in bins.items():
+            user_idx.append(i)
+            bin_idx.append(b)
+            charges.append(c)
+    return UsageDeltaMessage(site="a", sent_at=0.0, interval=60.0, seq=1,
+                             full=True, user_table=user_table,
+                             user_idx=user_idx, bin_idx=bin_idx,
+                             charges=charges)
 
 
 class TestUsageExchangeMessage:
+    """Full histogram snapshots relayed between USS instances."""
+
     def test_total_charge(self):
-        msg = UsageExchangeMessage(
-            site="a", sent_at=0.0, interval=60.0,
-            snapshot={"u1": {0: 10.0, 1: 20.0}, "u2": {0: 5.0}})
+        msg = full_snapshot({"u1": {0: 10.0, 1: 20.0}, "u2": {0: 5.0}})
         assert msg.total_charge() == 35.0
 
     def test_empty_snapshot(self):
-        msg = UsageExchangeMessage(site="a", sent_at=0.0, interval=60.0,
-                                   snapshot={})
-        assert msg.total_charge() == 0.0
+        assert full_snapshot({}).total_charge() == 0.0
 
     def test_frozen(self):
-        msg = UsageExchangeMessage(site="a", sent_at=0.0, interval=60.0,
-                                   snapshot={})
-        try:
+        msg = full_snapshot({})
+        with pytest.raises(AttributeError):
             msg.site = "b"
-            assert False, "should be immutable"
-        except AttributeError:
-            pass
 
 
 class TestUsageExchangeWireAccounting:
     def test_wire_entries_counts_bins(self):
-        msg = UsageExchangeMessage(
-            site="a", sent_at=0.0, interval=60.0,
-            snapshot={"u1": {0: 10.0, 1: 20.0}, "u2": {0: 5.0}})
+        msg = full_snapshot({"u1": {0: 10.0, 1: 20.0}, "u2": {0: 5.0}})
         assert msg.wire_entries() == 3
 
     def test_wire_bytes_grow_with_payload(self):
-        small = UsageExchangeMessage(site="a", sent_at=0.0, interval=60.0,
-                                     snapshot={"u": {0: 1.0}})
-        big = UsageExchangeMessage(site="a", sent_at=0.0, interval=60.0,
-                                   snapshot={"u": {b: 1.0 for b in range(10)}})
+        small = full_snapshot({"u": {0: 1.0}})
+        big = full_snapshot({"u": {b: 1.0 for b in range(10)}})
         assert small.wire_bytes() < big.wire_bytes()
 
 
@@ -60,28 +67,6 @@ class TestUsageDeltaMessage:
         hb = self.delta(user_table=[], user_idx=[], bin_idx=[], charges=[])
         assert hb.wire_entries() == 0
         assert hb.wire_bytes() < 50
-
-    def test_array_format_more_compact_than_dicts_at_equal_content(self):
-        """Packed arrays skip the per-map-entry framing that dict-of-dict
-        serializations pay, so at identical content the array form is
-        strictly smaller."""
-        snapshot = {f"grid-user-{u:04d}": {b: float(b) for b in range(4)}
-                    for u in range(50)}
-        legacy = UsageExchangeMessage(site="a", sent_at=0.0, interval=60.0,
-                                      snapshot=snapshot)
-        user_table = list(snapshot)
-        user_idx, bin_idx, charges = [], [], []
-        for i, bins in enumerate(snapshot.values()):
-            for b, c in bins.items():
-                user_idx.append(i)
-                bin_idx.append(b)
-                charges.append(c)
-        arrays = UsageDeltaMessage(
-            site="a", sent_at=0.0, interval=60.0, seq=1, full=True,
-            user_table=user_table, user_idx=user_idx, bin_idx=bin_idx,
-            charges=charges)
-        assert arrays.wire_entries() == legacy.wire_entries()
-        assert arrays.wire_bytes() < legacy.wire_bytes()
 
 
 class TestUsageResyncRequest:

@@ -1,10 +1,11 @@
 """Unit tests for the Usage Statistics Service (USS)."""
 
+import math
+
 import pytest
 
 from repro.core.usage import UsageRecord
-from repro.services.messages import (UsageDeltaMessage, UsageExchangeMessage,
-                                     UsageResyncRequest)
+from repro.services.messages import UsageDeltaMessage, UsageResyncRequest
 from repro.services.network import Network
 from repro.services.uss import UsageStatisticsService
 from repro.sim.engine import SimulationEngine
@@ -95,6 +96,7 @@ class TestExchange:
         a.record_job(record())
         engine.run_until(15.0)
         assert "a" not in b.remote
+        assert b._rejected["interval"].value >= 1
 
     def test_self_peering_rejected(self, engine, network):
         a = make_uss("a", engine, network)
@@ -195,18 +197,6 @@ class TestDeltaProtocol:
         assert b.exchanges_stale == 1
         assert b.remote["a"].total("alice") == pytest.approx(100.0)
 
-    def test_legacy_snapshot_reordering_dropped_by_sent_at(self, engine, network):
-        """Satellite: the legacy dict-of-dict path gates on sent_at."""
-        b = make_uss("b", engine, network)
-        newer = UsageExchangeMessage(site="a", sent_at=10.0, interval=60.0,
-                                     snapshot={"u": {0: 60.0}})
-        older = UsageExchangeMessage(site="a", sent_at=5.0, interval=60.0,
-                                     snapshot={"u": {0: 1.0}})
-        b._on_message(newer)
-        b._on_message(older)
-        assert b.exchanges_stale == 1
-        assert b.remote["a"].total("u") == pytest.approx(60.0)
-
     def test_sequence_gap_triggers_resync(self, engine, network):
         """A delta lost to a partition is repaired by request/reply resync
         once the link heals — even if the sender has gone idle since."""
@@ -252,25 +242,124 @@ class TestDeltaProtocol:
         req = UsageResyncRequest(site="b", sent_at=1.0, target="a")
         assert req.target == "a"
 
-    def test_legacy_mode_still_full_snapshots(self, engine, network):
-        a = make_uss("a", engine, network, delta_exchange=False)
-        inbox = []
-        network.connect("uss:b", inbox.append)
-        a.add_peer("b")
-        a.record_job(record(user="alice", end=100.0))
-        engine.run_until(25.0)
-        assert inbox and all(isinstance(m, UsageExchangeMessage)
-                             for m in inbox)
-        assert inbox[-1].snapshot["alice"][0] == pytest.approx(60.0)
+class TestUntrustedInput:
+    """Peer messages are checked whole before anything is applied: a bad
+    delta changes no histogram, sequence or horizon — it is counted by
+    reason and, when it is a non-full delta, repaired by a resync."""
 
-    def test_mixed_modes_interoperate(self, engine, network):
-        """A legacy publisher's snapshots are understood by a delta peer."""
-        a = make_uss("a", engine, network, delta_exchange=False)
+    def primed(self, engine, network):
+        b = make_uss("b", engine, network)
+        b._on_message(UsageDeltaMessage(
+            site="a", sent_at=0.0, interval=60.0, seq=1, full=True,
+            user_table=["u", "v"], user_idx=[0], bin_idx=[0],
+            charges=[10.0], horizon=5.0))
+        return b
+
+    def delta(self, **kwargs):
+        fields = dict(site="a", sent_at=10.0, interval=60.0, seq=2,
+                      full=False, user_table=["u", "v"], user_idx=[0],
+                      bin_idx=[0], charges=[20.0], horizon=10.0)
+        fields.update(kwargs)
+        return UsageDeltaMessage(**fields)
+
+    def assert_untouched(self, b):
+        assert b._recv_seq["a"] == 1
+        assert b.usage_horizons()["a"] == pytest.approx(5.0)
+        assert b.remote["a"].snapshot() == {"u": {0: 10.0}}
+        assert b.exchanges_received == 1
+
+    def test_negative_second_entry_applies_nothing(self, engine, network):
+        b = self.primed(engine, network)
+        b._on_message(self.delta(user_idx=[0, 0], bin_idx=[0, 1],
+                                 charges=[20.0, -5.0]))
+        self.assert_untouched(b)
+        assert b._rejected["charge"].value == 1
+        assert b.resyncs_requested == 1
+
+    @pytest.mark.parametrize("charge", [math.nan, math.inf, -math.inf])
+    def test_non_finite_charge_rejected(self, engine, network, charge):
+        b = self.primed(engine, network)
+        b._on_message(self.delta(charges=[charge]))
+        self.assert_untouched(b)
+        assert b._rejected["charge"].value == 1
+        assert b.resyncs_requested == 1
+
+    @pytest.mark.parametrize("user_idx", [
+        [-1],   # would wrap around to the last user
+        [2],    # past the end of the user table
+    ])
+    def test_out_of_range_user_index_rejected(self, engine, network,
+                                              user_idx):
+        b = self.primed(engine, network)
+        b._on_message(self.delta(user_idx=user_idx))
+        self.assert_untouched(b)
+        assert b._rejected["index"].value == 1
+        assert b.resyncs_requested == 1
+
+    def test_usage_before_the_clock_origin_applies(self, engine, network):
+        """A job that started before t=0 charges negative bins; those are
+        data, not faults, and must cross the wire like any other bin."""
+        a = make_uss("a", engine, network)
+        b = make_uss("b", engine, network)
+        a.add_peer("b")
+        a.record_job(record(user="early", start=-150.0, end=30.0))
+        engine.run_until(15.0)
+        assert sum(b._rejected[r].value for r in b._rejected) == 0
+        assert b.remote["a"].snapshot() == a.local.snapshot()
+        assert min(b.remote["a"].user_bins("early")) == -3
+
+    def test_unequal_array_lengths_rejected(self, engine, network):
+        b = self.primed(engine, network)
+        b._on_message(self.delta(bin_idx=[0, 1]))
+        self.assert_untouched(b)
+        assert b._rejected["shape"].value == 1
+
+    @pytest.mark.parametrize("fields", [
+        dict(horizon=math.inf),
+        dict(horizon=None, sent_at=math.nan),  # horizon falls back to sent_at
+        dict(seq="2"),
+        dict(full=1),
+        dict(tctx=["not", "a", "map"]),
+    ])
+    def test_malformed_header_rejected_without_resync(self, engine, network,
+                                                      fields):
+        b = self.primed(engine, network)
+        b._on_message(self.delta(**fields))
+        self.assert_untouched(b)
+        assert b._rejected["malformed"].value == 1
+        assert b.resyncs_requested == 0
+
+    def test_rejected_full_snapshot_only_counted(self, engine, network):
+        b = make_uss("b", engine, network)
+        b._on_message(UsageDeltaMessage(
+            site="a", sent_at=0.0, interval=60.0, seq=1, full=True,
+            user_table=["u"], user_idx=[0], bin_idx=[0],
+            charges=[math.nan]))
+        assert b._rejected["charge"].value == 1
+        # no resync: a faulty peer's full snapshots cannot start a storm
+        assert b.resyncs_requested == 0
+        assert "a" not in b.remote
+        assert "a" not in b.usage_horizons()
+
+    def test_resync_after_rejection_repairs_state(self, engine, network):
+        a = make_uss("a", engine, network)
         b = make_uss("b", engine, network)
         a.add_peer("b")
         a.record_job(record(user="alice", end=100.0))
-        engine.run_until(25.0)
+        engine.run_until(15.0)
+        b._on_message(self.delta(seq=b._recv_seq["a"] + 1,
+                                 charges=[math.nan]))
+        engine.run_until(16.0)  # the resync reply is a full snapshot
+        assert b.resyncs_requested == 1
+        assert a.resyncs_served == 1
         assert b.remote["a"].total("alice") == pytest.approx(100.0)
+
+    def test_every_reason_renders_from_the_start(self, engine, network):
+        from repro.obs.export import render
+
+        text = render(make_uss("b", engine, network).registry)
+        for reason in ("malformed", "interval", "shape", "index", "charge"):
+            assert f'reason="{reason}"' in text
 
 
 class TestFreshnessWatermarks:
@@ -346,14 +435,6 @@ class TestFreshnessWatermarks:
             horizon=20.0))
         assert b.usage_horizons()["a"] == pytest.approx(5.0)
         assert b.resyncs_requested == 1
-
-    def test_legacy_full_snapshots_carry_horizons(self, engine, network):
-        a = make_uss("a", engine, network, delta_exchange=False)
-        b = make_uss("b", engine, network)
-        a.add_peer("b")
-        a.record_job(record(user="alice", end=100.0))
-        engine.run_until(11.0)
-        assert b.usage_horizons()["a"] == pytest.approx(10.0)
 
     def test_staleness_histogram_exported(self, engine, network):
         from repro.obs.export import render

@@ -118,6 +118,21 @@ class TestPeriodic:
         engine.run_until(25.0)
         assert times == [0.0, 11.0, 22.0]
 
+    def test_raising_callback_keeps_its_schedule(self):
+        engine = SimulationEngine()
+        times = []
+
+        def tick():
+            times.append(engine.now)
+            if len(times) == 2:
+                raise RuntimeError("one bad round")
+
+        engine.periodic(10.0, tick)
+        with pytest.raises(RuntimeError):
+            engine.run_until(35.0)
+        engine.run_until(35.0)
+        assert times == [0.0, 10.0, 20.0, 30.0]
+
     def test_invalid_interval_rejected(self):
         with pytest.raises(SimulationError):
             SimulationEngine().periodic(0.0, lambda: None)
